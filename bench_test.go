@@ -12,10 +12,12 @@ package toporouting
 // Run:  go test -bench=. -benchmem
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"toporouting/internal/experiments"
@@ -419,7 +421,7 @@ func BenchmarkBuildThetaParallel(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				topology.BuildThetaParallel(pts, cfg, workers)
+				topology.Build(context.Background(), pts, cfg, topology.Plan{Workers: cmp.Or(workers, runtime.GOMAXPROCS(0))})
 			}
 		})
 	}
@@ -438,7 +440,7 @@ func BenchmarkBuildThetaTiled(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := topology.BuildThetaTiled(context.Background(), pts, cfg, topology.TiledConfig{}); err != nil {
+				if _, err := topology.Build(context.Background(), pts, cfg, topology.Plan{Tiles: topology.AutoTiles}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -215,10 +216,8 @@ func run() error {
 			fmt.Printf("protocol: %d position, %d neighborhood, %d connection msgs (%d deliveries)\n",
 				st.PositionMsgs, st.NeighborhoodMsgs, st.ConnectionMsgs, st.Deliveries)
 		}
-	case *workers > 0:
-		nw, err = toporouting.BuildNetworkParallel(pts, opts, *workers)
 	default:
-		nw, err = toporouting.BuildNetwork(pts, opts)
+		nw, err = toporouting.BuildNetworkContext(context.Background(), pts, opts, toporouting.Plan{Workers: *workers})
 	}
 	if err != nil {
 		return err

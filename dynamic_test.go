@@ -1,6 +1,7 @@
 package toporouting
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestBuildNetworkParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{-1, 1, 2, 7} {
-		par, err := BuildNetworkParallel(pts, opts, workers)
+		par, err := BuildNetworkContext(context.Background(), pts, opts, Plan{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -521,46 +521,24 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	// read it.
 	includeEdges := req.IncludeEdges
 	var run func(context.Context) (any, error)
+	var plan toporouting.Plan
 	switch mode {
-	case "centralized", "parallel":
-		workers := req.Workers
-		if mode == "parallel" && workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if mode == "centralized" {
-			workers = 0
-		}
-		run = func(ctx context.Context) (any, error) {
-			start := time.Now()
-			ar := getArena()
-			nw, err := toporouting.BuildNetworkArenaContext(ctx, pts, opts, workers, ar)
-			if err != nil {
-				putArena(ar)
-				return nil, err
-			}
-			return &topologyResult{
-				mode: mode, nw: nw, includeEdges: includeEdges, ar: ar,
-				elapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			}, nil
+	case "centralized":
+	case "parallel":
+		plan.Workers = req.Workers
+		if plan.Workers <= 0 {
+			plan.Workers = runtime.GOMAXPROCS(0)
 		}
 	case "tiled":
-		tiles, workers := req.Tiles, req.Workers
-		run = func(ctx context.Context) (any, error) {
-			start := time.Now()
-			nw, err := toporouting.BuildNetworkTiledContext(ctx, pts, opts, tiles, workers)
-			if err != nil {
-				return nil, err
-			}
-			return &topologyResult{
-				mode: mode, nw: nw, includeEdges: includeEdges,
-				elapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			}, nil
+		plan = toporouting.Plan{Tiles: req.Tiles, Workers: req.Workers}
+		if plan.Tiles <= 0 {
+			plan.Tiles = toporouting.AutoTiles
 		}
 	case "distributed":
-		plan, buildSeed := req.Faults.plan(), req.BuildSeed
+		faults, buildSeed := req.Faults.plan(), req.BuildSeed
 		run = func(ctx context.Context) (any, error) {
 			start := time.Now()
-			nw, rep, err := toporouting.BuildNetworkDistributedAsyncContext(ctx, pts, opts, plan, buildSeed)
+			nw, rep, err := toporouting.BuildNetworkDistributedAsyncContext(ctx, pts, opts, faults, buildSeed)
 			if err != nil {
 				return nil, err
 			}
@@ -580,6 +558,23 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want centralized, parallel, tiled, or distributed)", mode))
 		return
+	}
+	if run == nil {
+		run = func(ctx context.Context) (any, error) {
+			start := time.Now()
+			ar := getArena()
+			plan := plan
+			plan.Arena = ar
+			nw, err := toporouting.BuildNetworkContext(ctx, pts, opts, plan)
+			if err != nil {
+				putArena(ar)
+				return nil, err
+			}
+			return &topologyResult{
+				mode: mode, nw: nw, includeEdges: includeEdges, ar: ar,
+				elapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
+			}, nil
+		}
 	}
 	// Digest the parsed request with response-neutral fields normalized:
 	// timeout_ms never changes the body, and the empty mode is the default.
@@ -618,7 +613,7 @@ func (s *Server) handleInterference(w http.ResponseWriter, r *http.Request) {
 		// All response values are extracted here, inside the job, so the
 		// arena can be released before the result leaves the closure.
 		defer putArena(ar)
-		nw, err := toporouting.BuildNetworkArenaContext(ctx, pts, opts, workers, ar)
+		nw, err := toporouting.BuildNetworkContext(ctx, pts, opts, toporouting.Plan{Workers: workers, Arena: ar})
 		if err != nil {
 			return nil, err
 		}

@@ -125,6 +125,43 @@ func TestTopologyModesAgree(t *testing.T) {
 	}
 }
 
+// TestTopologySparseExplicitRange sends two points far apart relative to
+// an explicit range. The spatial index's cell count is bounded by the node
+// count, so the build allocates a few kilobytes instead of one bucket per
+// range-sized cell of the bounding box (4·10⁸ here).
+func TestTopologySparseExplicitRange(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/topology", map[string]any{
+		"points": [][2]float64{{0, 0}, {20, 20}}, "range": 0.001,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	}
+	var tr topologyResponse
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.N != 2 || tr.NumEdges != 0 || tr.Connected {
+		t.Fatalf("two out-of-range points: %+v", tr)
+	}
+}
+
+// TestParallelBuildWorkersGauge pins that a parallel request records its
+// worker count in topology.build_workers, as every other build does.
+func TestParallelBuildWorkersGauge(t *testing.T) {
+	tel := toporouting.NewTelemetry()
+	_, ts := newTestServer(t, Config{Telemetry: tel})
+	resp, body := postJSON(t, ts.URL+"/v1/topology", map[string]any{
+		"mode": "parallel", "workers": 2, "dist": "uniform", "n": 60, "seed": 7,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	}
+	if got := tel.Gauge("topology.build_workers").Value(); got != 2 {
+		t.Fatalf("topology.build_workers = %v, want 2", got)
+	}
+}
+
 func TestSimulateEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/simulate", map[string]any{

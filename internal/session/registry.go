@@ -224,24 +224,27 @@ func (r *Registry) host(s *Session, counter string) error {
 	return nil
 }
 
-// build dispatches to the selected builder. Every mode yields tables
-// bit-identical to BuildTheta's, so the dynamic handle's locality argument
-// holds regardless of how the base was constructed.
+// build maps the mode to a topology.Plan and builds. Every plan yields
+// tables bit-identical to BuildTheta's, so the dynamic handle's locality
+// argument holds regardless of how the base was constructed.
 func (r *Registry) build(ctx context.Context, mode string, pts []geom.Point, cfg topology.Config, spec BuildSpec) (*topology.Topology, error) {
+	var plan topology.Plan
 	switch mode {
 	case "centralized":
-		return topology.BuildThetaContext(ctx, pts, cfg, 0)
 	case "parallel":
-		workers := spec.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
+		plan.Workers = spec.Workers
+		if plan.Workers <= 0 {
+			plan.Workers = runtime.GOMAXPROCS(0)
 		}
-		return topology.BuildThetaContext(ctx, pts, cfg, workers)
 	case "tiled":
-		return topology.BuildThetaTiled(ctx, pts, cfg, topology.TiledConfig{Tiles: spec.Tiles, Workers: spec.Workers})
+		plan = topology.Plan{Tiles: spec.Tiles, Workers: spec.Workers}
+		if plan.Tiles <= 0 {
+			plan.Tiles = topology.AutoTiles
+		}
 	default:
 		return nil, fmt.Errorf("session: unknown mode %q (want centralized, parallel, or tiled)", mode)
 	}
+	return topology.Build(ctx, pts, cfg, plan)
 }
 
 // reserve takes one session slot for tenant and mints the session id.

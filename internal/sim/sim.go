@@ -152,17 +152,16 @@ type Config struct {
 	// Mutually exclusive with Churn and MACHoneycomb, which bypass the
 	// distributed protocol.
 	Dist *dist.Faults
-	// Workers caps the worker pool of centralized topology builds: > 0
-	// routes full rebuilds through topology.BuildThetaParallel with that
-	// many workers (0 keeps the sequential builder; ignored under Dist and
-	// Churn, which build incrementally or via the protocol engine). The
-	// same cap fans out the interference-set computation behind the random
-	// MAC; results are identical for every worker count.
+	// Workers is the topology.Plan worker count of full rebuilds (0 keeps
+	// an untiled build sequential; ignored under Dist and Churn, which
+	// build incrementally or via the protocol engine). The same cap fans
+	// out the interference-set computation behind the random MAC; results
+	// are identical for every worker count.
 	Workers int
-	// Tiles > 0 routes full rebuilds through topology.BuildThetaTiled with
-	// a Tiles×Tiles tile grid (Workers sizing the tile pool). The built
-	// topology is identical to the sequential one; only peak memory and
-	// wall-clock change. Ignored under Dist and Churn.
+	// Tiles > 0 makes full rebuilds tile-sharded over a Tiles×Tiles tile
+	// grid (Workers sizing the tile pool). The built topology is identical
+	// to the sequential one; only peak memory and wall-clock change.
+	// Ignored under Dist and Churn.
 	Tiles int
 	// Seed drives all randomness of the run.
 	Seed int64
@@ -309,12 +308,16 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 			if d <= 0 {
 				d = unitdisk.CriticalRange(pts) * cfg.RangeSlack
 			}
+			tcfg := topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel}
+			plan := topology.Plan{Workers: cfg.Workers}
+			if cfg.Tiles > 0 {
+				plan.Tiles = cfg.Tiles
+			}
 			if churn {
-				tcfg := topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel}
 				if cfg.Tiles > 0 {
 					// Build tile-sharded, then hand the (bit-identical)
 					// result to the incremental subsystem for repair.
-					top, err := topology.BuildThetaTiled(rctx, pts, tcfg, topology.TiledConfig{Tiles: cfg.Tiles, Workers: cfg.Workers})
+					top, err := topology.Build(rctx, pts, tcfg, plan)
 					if err != nil {
 						return err
 					}
@@ -350,20 +353,9 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 				install(pts, out.Top)
 				return nil
 			}
-			var top *topology.Topology
-			var err error
-			if cfg.Tiles > 0 {
-				top, err = topology.BuildThetaTiled(rctx, pts,
-					topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel},
-					topology.TiledConfig{Tiles: cfg.Tiles, Workers: cfg.Workers})
-			} else {
-				top, err = topology.BuildThetaContext(rctx, pts, topology.Config{Theta: cfg.Theta, Range: d, Telemetry: tel}, cfg.Workers)
-			}
+			top, err := topology.Build(rctx, pts, tcfg, plan)
 			if err != nil {
 				return err
-			}
-			if cfg.Workers > 0 {
-				tel.Gauge("topology.build_workers").Set(float64(cfg.Workers))
 			}
 			install(pts, top)
 		case MACHoneycomb:

@@ -11,26 +11,51 @@ import (
 	"toporouting/internal/geom"
 )
 
-// Grid is an immutable uniform-grid index over a point set. The zero value
-// is not usable; construct with NewGrid.
+// Grid is a static uniform-grid index stored in flat CSR arrays: bucket
+// offsets plus one contiguous index slice, filled by a counting sort. A
+// zero Grid is empty; (re)populate it with Fill, which reuses the backing
+// arrays, so steady-state refills allocate nothing. NewGrid serves
+// one-shot callers.
+//
+// Visit order is deterministic: bucket-major, ascending point index within
+// each bucket.
 type Grid struct {
-	pts      []geom.Point
-	cell     float64
-	min      geom.Point
-	cols     int
-	rows     int
-	buckets  [][]int32 // indexed by row*cols+col
-	hasCells bool
+	pts   []geom.Point
+	cell  float64
+	min   geom.Point
+	cols  int
+	rows  int
+	start []int32 // bucket b occupies idx[start[b]:start[b+1]]
+	idx   []int32
+	cur   []int32 // fill cursors, retained as scratch
 }
 
-// NewGrid indexes pts with the given cell size. A non-positive cellSize is
-// replaced by a heuristic (bounding-box area / n, clamped). The index keeps a
-// reference to pts; callers must not mutate the slice afterwards.
+// NewGrid indexes pts with the given cell size; see Fill.
 func NewGrid(pts []geom.Point, cellSize float64) *Grid {
-	g := &Grid{pts: pts}
+	g := new(Grid)
+	g.Fill(pts, cellSize)
+	return g
+}
+
+// maxCells bounds the bucket count of an n-point grid. Without it the
+// count is (spread/cell)², independent of n: two points 20 units apart
+// with a 10⁻³ cell would ask for 4·10⁸ buckets. ForEachWithin filters by
+// exact distance, so any cell size answers queries correctly; widening
+// the cell only trades empty buckets for fuller ones. The constant term
+// (128 KiB of offsets) leaves small sparse inputs on their requested cell.
+func maxCells(n int) float64 { return 4*float64(n) + 1<<14 }
+
+// Fill (re)indexes pts with the given cell size, reusing the grid's
+// backing arrays. A non-positive cellSize is replaced by a heuristic
+// (bounding-box area / n, clamped). The cell is doubled until the bucket
+// count is within maxCells. The grid keeps a reference to pts; callers
+// must not mutate the slice while the grid is in use.
+func (g *Grid) Fill(pts []geom.Point, cellSize float64) {
+	g.pts = pts
 	if len(pts) == 0 {
 		g.cell = 1
-		return g
+		g.cols, g.rows = 0, 0
+		return
 	}
 	min, max := pts[0], pts[0]
 	for _, p := range pts[1:] {
@@ -59,64 +84,80 @@ func NewGrid(pts []geom.Point, cellSize float64) *Grid {
 			cellSize = 1
 		}
 	}
+	for (math.Floor(w/cellSize)+1)*(math.Floor(h/cellSize)+1) > maxCells(len(pts)) {
+		cellSize *= 2
+	}
 	g.cell = cellSize
 	g.min = min
 	g.cols = int(w/cellSize) + 1
 	g.rows = int(h/cellSize) + 1
-	g.buckets = make([][]int32, g.cols*g.rows)
-	g.hasCells = true
+
+	cells := g.cols * g.rows
+	g.start = growInt32(g.start, cells+1)
+	g.cur = growInt32(g.cur, cells)
+	g.idx = growInt32(g.idx, len(pts))
+	counts := g.cur
+	clear(counts)
+	for _, p := range pts {
+		counts[g.cellIndex(p)]++
+	}
+	g.start[0] = 0
+	for c := 0; c < cells; c++ {
+		g.start[c+1] = g.start[c] + counts[c]
+		counts[c] = g.start[c] // reuse as fill cursor
+	}
 	for i, p := range pts {
 		c := g.cellIndex(p)
-		g.buckets[c] = append(g.buckets[c], int32(i))
+		g.idx[counts[c]] = int32(i)
+		counts[c]++
 	}
-	return g
+}
+
+// growInt32 returns a slice of exactly length n, reusing s's backing array
+// when it is large enough.
+func growInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.pts) }
 
-// Point returns the i-th indexed point.
-func (g *Grid) Point(i int) geom.Point { return g.pts[i] }
-
-// CellSize returns the side length of the grid cells.
-func (g *Grid) CellSize() float64 { return g.cell }
+// Footprint returns the grid's retained backing size in bytes (excluding
+// the caller-owned point slice), for pool retention caps.
+func (g *Grid) Footprint() int {
+	return 4 * (cap(g.start) + cap(g.idx) + cap(g.cur))
+}
 
 func (g *Grid) cellIndex(p geom.Point) int {
-	col := int((p.X - g.min.X) / g.cell)
-	row := int((p.Y - g.min.Y) / g.cell)
-	if col < 0 {
-		col = 0
-	} else if col >= g.cols {
-		col = g.cols - 1
-	}
-	if row < 0 {
-		row = 0
-	} else if row >= g.rows {
-		row = g.rows - 1
-	}
+	col := clampCell((p.X-g.min.X)/g.cell, g.cols)
+	row := clampCell((p.Y-g.min.Y)/g.cell, g.rows)
 	return row*g.cols + col
 }
 
-// ForEachWithin calls fn(j) for every indexed point j with |p, pts[j]| ≤ r.
-// The order of visits is deterministic (bucket-major, insertion order).
+// ForEachWithin calls fn(j) for every indexed point j with |p, pts[j]| ≤ r,
+// in deterministic order (bucket-major, ascending index within buckets).
+// It is safe for concurrent use by multiple goroutines once filled.
 func (g *Grid) ForEachWithin(p geom.Point, r float64, fn func(j int)) {
-	if !g.hasCells || r < 0 {
+	if g.cols == 0 || r < 0 {
 		return
 	}
 	r2 := r * r
-	// Clamp both ends of the cell range into [0, cols)×[0, rows). Clamping
-	// only one side leaves c0 > c1 (or r0 > r1) for query discs lying fully
-	// outside the index's bounding box, which silently skips the boundary
-	// cells a clamped scan would (correctly, thanks to the distance filter)
-	// visit — the bug that made Nearest return (-1, +Inf) for far queries.
-	c0 := clampCell(int(math.Floor((p.X-r-g.min.X)/g.cell)), g.cols)
-	c1 := clampCell(int(math.Floor((p.X+r-g.min.X)/g.cell)), g.cols)
-	r0 := clampCell(int(math.Floor((p.Y-r-g.min.Y)/g.cell)), g.rows)
-	r1 := clampCell(int(math.Floor((p.Y+r-g.min.Y)/g.cell)), g.rows)
+	// Clamp both ends of the cell range into [0, cols)×[0, rows): a query
+	// disc lying outside the bounding box then scans the nearest boundary
+	// cells (the distance filter rejects what is out of reach) instead of
+	// an inverted, silently empty range.
+	c0 := clampCell((p.X-r-g.min.X)/g.cell, g.cols)
+	c1 := clampCell((p.X+r-g.min.X)/g.cell, g.cols)
+	r0 := clampCell((p.Y-r-g.min.Y)/g.cell, g.rows)
+	r1 := clampCell((p.Y+r-g.min.Y)/g.cell, g.rows)
 	for row := r0; row <= r1; row++ {
 		base := row * g.cols
 		for col := c0; col <= c1; col++ {
-			for _, j := range g.buckets[base+col] {
+			b := base + col
+			for _, j := range g.idx[g.start[b]:g.start[b+1]] {
 				if geom.Dist2(p, g.pts[j]) <= r2 {
 					fn(int(j))
 				}
@@ -125,77 +166,15 @@ func (g *Grid) ForEachWithin(p geom.Point, r float64, fn func(j int)) {
 	}
 }
 
-// Within returns the indices of all points within distance r of p, in
-// deterministic order.
-func (g *Grid) Within(p geom.Point, r float64) []int {
-	var out []int
-	g.ForEachWithin(p, r, func(j int) { out = append(out, j) })
-	return out
-}
-
-// NeighborsOf returns the indices of all points within distance r of point i,
-// excluding i itself.
-func (g *Grid) NeighborsOf(i int, r float64) []int {
-	var out []int
-	p := g.pts[i]
-	g.ForEachWithin(p, r, func(j int) {
-		if j != i {
-			out = append(out, j)
-		}
-	})
-	return out
-}
-
-// Nearest returns the index of the point nearest to p and its distance,
-// excluding indices for which skip(j) is true (skip may be nil). It returns
-// (-1, +Inf) only when every point is skipped. The search expands ring by
-// ring, so it is efficient when a near point exists; for query points
-// outside the indexed bounding box the rings start at the box boundary, so
-// arbitrarily far queries still find the true nearest point.
-func (g *Grid) Nearest(p geom.Point, skip func(j int) bool) (int, float64) {
-	best, bestD := -1, math.Inf(1)
-	if !g.hasCells {
-		return best, bestD
-	}
-	// d0 is the distance from p to the grid's cell coverage; offsetting the
-	// ring radii by it routes far-outside queries straight to the nearest
-	// boundary cells instead of searching empty space around p.
-	d0 := g.boxDist(p)
-	// cols+rows cells of radius always cover the coverage diagonal from the
-	// box point nearest to p, so the last ring sees every indexed point.
-	maxRing := g.cols + g.rows
-	for ring := 0; ring <= maxRing; ring++ {
-		r := d0 + float64(ring+1)*g.cell
-		g.ForEachWithin(p, r, func(j int) {
-			if skip != nil && skip(j) {
-				return
-			}
-			if d := geom.Dist(p, g.pts[j]); d < bestD {
-				best, bestD = j, d
-			}
-		})
-		if best >= 0 && bestD <= d0+float64(ring)*g.cell {
-			break
-		}
-	}
-	return best, bestD
-}
-
-// boxDist returns the distance from p to the rectangle of cells the grid
-// covers (zero for points inside it).
-func (g *Grid) boxDist(p geom.Point) float64 {
-	dx := math.Max(0, math.Max(g.min.X-p.X, p.X-(g.min.X+float64(g.cols)*g.cell)))
-	dy := math.Max(0, math.Max(g.min.Y-p.Y, p.Y-(g.min.Y+float64(g.rows)*g.cell)))
-	return math.Hypot(dx, dy)
-}
-
-// clampCell clamps a cell coordinate into [0, n).
-func clampCell(c, n int) int {
+// clampCell maps a cell coordinate, still in float64 cell units, to its
+// column or row in [0, n). Clamping before the integer conversion keeps
+// far-away coordinates from overflowing it.
+func clampCell(c float64, n int) int {
 	if c < 0 {
 		return 0
 	}
-	if c >= n {
+	if c >= float64(n) {
 		return n - 1
 	}
-	return c
+	return int(c)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"toporouting/internal/geom"
-	"toporouting/internal/graph"
 )
 
 // CheckDistinct enforces the paper's standing assumption of distinct node
@@ -16,45 +15,23 @@ func CheckDistinct(pts []geom.Point) { checkDistinct(pts) }
 // AssembleTables constructs a Topology from externally computed per-sector
 // selection and admission tables — the output surface of builders that do
 // not run inside this package, such as the asynchronous message-passing
-// engine (internal/dist). The Yao graph is derived as the undirected
-// closure of nearestOut and the final topology N as the undirected closure
-// of admitIn, exactly as the centralized builder materializes them; no
-// validation of the tables' semantics is performed beyond shape checks, so
-// the result is only as correct as the protocol that produced the tables.
+// engine (internal/dist). It runs Build's prelude and stitch around the
+// given tables, so the Yao graph and N are their undirected closures
+// exactly as Build materializes them; no validation of the tables'
+// semantics is performed beyond shape checks, so the result is only as
+// correct as the protocol that produced the tables.
 func AssembleTables(pts []geom.Point, cfg Config, nearestOut, admitIn [][]int32) *Topology {
-	cfg = cfg.withDefaults()
-	if cfg.Range <= 0 {
-		panic(fmt.Sprintf("topology: non-positive range %v", cfg.Range))
-	}
-	sectors := geom.NewSectors(cfg.Theta)
-	n := len(pts)
-	k := sectors.Count()
+	t := prepare(pts, cfg, nil)
+	n, k := len(pts), t.Sectors.Count()
 	if len(nearestOut) != n || len(admitIn) != n {
 		panic(fmt.Sprintf("topology: tables for %d/%d nodes, want %d", len(nearestOut), len(admitIn), n))
-	}
-	t := &Topology{
-		Pts:        pts,
-		Cfg:        cfg,
-		Sectors:    sectors,
-		NearestOut: nearestOut,
-		AdmitIn:    admitIn,
-		Yao:        graph.New(n),
-		N:          graph.New(n),
 	}
 	for u := 0; u < n; u++ {
 		if len(nearestOut[u]) != k || len(admitIn[u]) != k {
 			panic(fmt.Sprintf("topology: node %d has %d/%d sectors, want %d", u, len(nearestOut[u]), len(admitIn[u]), k))
 		}
-		for _, v := range nearestOut[u] {
-			if v >= 0 {
-				t.Yao.AddEdge(u, int(v))
-			}
-		}
-		for _, w := range admitIn[u] {
-			if w >= 0 {
-				t.N.AddEdge(u, int(w))
-			}
-		}
 	}
+	t.NearestOut, t.AdmitIn = nearestOut, admitIn
+	t.stitch(nil, 0)
 	return t
 }

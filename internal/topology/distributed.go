@@ -90,17 +90,10 @@ type posInfo struct {
 // runtime only plays the role of the radio medium, delivering each
 // Position broadcast to the nodes within transmission range.
 func BuildThetaDistributed(pts []geom.Point, cfg Config) (*Topology, ProtocolStats) {
-	cfg = cfg.withDefaults()
-	if cfg.Range <= 0 {
-		panic(fmt.Sprintf("topology: non-positive range %v", cfg.Range))
-	}
-	checkDistinct(pts)
-	sectors := geom.NewSectors(cfg.Theta)
+	t := prepare(pts, cfg, nil)
+	cfg, sectors := t.Cfg, t.Sectors
 	n := len(pts)
 	k := sectors.Count()
-	if cfg.Orientations != nil && len(cfg.Orientations) != n {
-		panic(fmt.Sprintf("topology: %d orientations for %d points", len(cfg.Orientations), n))
-	}
 	sectorOf := func(u int, from, to geom.Point) int {
 		if cfg.Orientations != nil {
 			return sectors.IndexOfOriented(from, to, cfg.Orientations[u])
@@ -244,15 +237,7 @@ func BuildThetaDistributed(pts []geom.Point, cfg Config) (*Topology, ProtocolSta
 			}
 		}
 	}
-	t := &Topology{
-		Pts:        pts,
-		Cfg:        cfg,
-		Sectors:    sectors,
-		N:          nGraph,
-		Yao:        yao,
-		NearestOut: nearestOut,
-		AdmitIn:    admitIn,
-	}
+	t.N, t.Yao, t.NearestOut, t.AdmitIn = nGraph, yao, nearestOut, admitIn
 	stopBuild()
 	if tel.Enabled() {
 		tel.Counter("topology.dist.builds").Inc()

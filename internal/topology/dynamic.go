@@ -136,8 +136,8 @@ func NewDynamic(pts []geom.Point, cfg Config) *Dynamic {
 	}
 }
 
-// NewDynamicFrom wraps an already-built topology — typically a
-// BuildThetaTiled result, whose tables are bit-identical to BuildTheta's —
+// NewDynamicFrom wraps an already-built topology — typically a tiled
+// Build result, whose tables are bit-identical to BuildTheta's —
 // as a churn-maintenance handle without rebuilding it. The handle takes
 // ownership of t: its tables and graphs mutate in place across Apply
 // calls. Positions are copied first, so the slice the topology was built

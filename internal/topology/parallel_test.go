@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -22,7 +23,7 @@ func TestBuildThetaParallelDeterminism(t *testing.T) {
 		cfg := Config{Theta: math.Pi / 6, Range: dRange}
 		ref := BuildTheta(pts, cfg)
 		for _, workers := range []int{1, 2, runtime.NumCPU()} {
-			got := BuildThetaParallel(pts, cfg, workers)
+			got, _ := Build(context.Background(), pts, cfg, Plan{Workers: workers})
 			if !reflect.DeepEqual(got.NearestOut, ref.NearestOut) {
 				t.Fatalf("%v workers=%d: NearestOut differs from sequential", kind, workers)
 			}
@@ -42,9 +43,9 @@ func TestBuildThetaParallelDeterminism(t *testing.T) {
 func TestBuildThetaParallelDefaults(t *testing.T) {
 	pts := pointset.Generate(pointset.KindUniform, 100, 2)
 	cfg := Config{Theta: math.Pi / 6, Range: unitdisk.CriticalRange(pts) * 1.3}
-	// workers ≤ 0 selects GOMAXPROCS; more workers than nodes is clamped.
-	a := BuildThetaParallel(pts, cfg, -1)
-	b := BuildThetaParallel(pts, cfg, 5000)
+	// workers ≤ 0 selects the default; more workers than nodes is clamped.
+	a, _ := Build(context.Background(), pts, cfg, Plan{Workers: -1})
+	b, _ := Build(context.Background(), pts, cfg, Plan{Workers: 5000})
 	ref := BuildTheta(pts, cfg)
 	if !reflect.DeepEqual(a.N.Edges(), ref.N.Edges()) || !reflect.DeepEqual(b.N.Edges(), ref.N.Edges()) {
 		t.Fatal("default/clamped worker counts changed the topology")

@@ -10,11 +10,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"toporouting/internal/geom"
 	"toporouting/internal/graph"
-	"toporouting/internal/spatial"
 	"toporouting/internal/telemetry"
 )
 
@@ -88,8 +86,8 @@ func closer(pts []geom.Point, u, a, b int) bool {
 }
 
 // withinIndex is the spatial-query capability the builders and the
-// incremental maintenance need: both *spatial.Grid (immutable, batch
-// builds) and *spatial.DynGrid (mutable, churn maintenance) provide it.
+// incremental maintenance need: both *spatial.Grid (static, batch builds)
+// and *spatial.DynGrid (mutable, churn maintenance) provide it.
 type withinIndex interface {
 	ForEachWithin(p geom.Point, r float64, fn func(j int))
 }
@@ -137,7 +135,7 @@ func (s *phase1Scanner) visit(v int) {
 
 // scan processes rows [lo, hi), checking ctx every cancelStride rows. It
 // returns early (with rows partially filled) once the context dies; callers
-// check ctx.Err() after all ranges complete, as buildTheta always has.
+// check ctx.Err() after all ranges complete, as buildRows does.
 func (s *phase1Scanner) scan(ctx context.Context, lo, hi int, idx withinIndex) {
 	t := s.t
 	fn := s.visit
@@ -152,7 +150,7 @@ func (s *phase1Scanner) scan(ctx context.Context, lo, hi int, idx withinIndex) {
 
 // admitRow recomputes node u's phase-2 admissions in place by gathering:
 // per sector of u, the nearest in-range w that selected u in phase 1. This
-// is the per-node (gather) formulation of the scatter loop in buildTheta —
+// is the per-node (gather) formulation of the scatter loop in buildRows —
 // both compute the maximum of the same candidate set under the same strict
 // order, so they agree exactly.
 func (t *Topology) admitRow(u int, idx withinIndex) {
@@ -176,22 +174,19 @@ func (t *Topology) admitRow(u int, idx withinIndex) {
 
 // BuildTheta runs ΘALG on pts and returns the resulting topology. It panics
 // on an invalid configuration. The transmission graph G* is implicit: nodes
-// within distance Cfg.Range are mutually reachable.
+// within distance Cfg.Range are mutually reachable. It is Build with the
+// zero Plan (a sequential row build) and the oracle every other plan is
+// tested against.
 func BuildTheta(pts []geom.Point, cfg Config) *Topology {
-	t, _ := buildTheta(context.Background(), pts, cfg, 1)
+	t, _ := Build(context.Background(), pts, cfg, Plan{})
 	return t
 }
 
-// BuildThetaContext is BuildTheta under a cancellation context: the build
-// checks ctx between row batches of every phase and returns (nil, ctx.Err())
-// promptly after cancellation, so a caller whose client went away stops
-// burning CPU mid-build. workers > 1 additionally fans phase 1 out as in
-// BuildThetaParallel (≤ 0 stays sequential).
+// BuildThetaContext is Build with a row plan of workers workers (≤ 0 stays
+// sequential). It is kept, with this signature, for the benchmark module,
+// which calls it directly.
 func BuildThetaContext(ctx context.Context, pts []geom.Point, cfg Config, workers int) (*Topology, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	return buildTheta(ctx, pts, cfg, workers)
+	return Build(ctx, pts, cfg, Plan{Workers: workers})
 }
 
 // cancelStride is how many per-node rows a build loop processes between
@@ -199,179 +194,6 @@ func BuildThetaContext(ctx context.Context, pts []geom.Point, cfg Config, worker
 // to noise, small enough that cancellation lands in well under a
 // millisecond of work.
 const cancelStride = 256
-
-// buildTheta is the shared builder: workers > 1 fans the per-node phase-1
-// sector selection out over a worker pool. Results are identical for every
-// worker count — workers own disjoint node ranges and phase 1 is
-// embarrassingly parallel (each row reads only immutable positions).
-func buildTheta(ctx context.Context, pts []geom.Point, cfg Config, workers int) (*Topology, error) {
-	return buildThetaArena(ctx, pts, cfg, workers, nil)
-}
-
-// buildThetaArena is buildTheta with optional reusable backing storage: a
-// nil arena allocates everything fresh (the historical behavior), a non-nil
-// one recycles the spatial index, sector tables, graph slabs, and the
-// distinctness map across builds. Both paths run the same phase loops over
-// the same data layout, so outputs are bit-identical.
-func buildThetaArena(ctx context.Context, pts []geom.Point, cfg Config, workers int, ar *BuildArena) (*Topology, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Range <= 0 {
-		panic(fmt.Sprintf("topology: non-positive range %v", cfg.Range))
-	}
-	sectors := geom.NewSectors(cfg.Theta)
-	n := len(pts)
-	k := sectors.Count()
-	if ar != nil {
-		checkDistinctIn(pts, ar.distinctScratch(n))
-	} else {
-		checkDistinct(pts)
-	}
-	if cfg.Orientations != nil && len(cfg.Orientations) != n {
-		panic(fmt.Sprintf("topology: %d orientations for %d points", len(cfg.Orientations), n))
-	}
-	t := &Topology{
-		Pts:     pts,
-		Cfg:     cfg,
-		Sectors: sectors,
-	}
-	if ar != nil {
-		t.NearestOut, t.AdmitIn = ar.sectorTables(n, k)
-	} else {
-		t.NearestOut = newSectorTable(n, k)
-		t.AdmitIn = newSectorTable(n, k)
-	}
-	tel := cfg.Telemetry
-	stopBuild := tel.StartPhase("topology.build")
-	ctx, spanBuild := telemetry.StartChild(ctx, "topology.build")
-	spanBuild.SetAttr("n", float64(n))
-
-	// Phase 1: every node selects, in each of its sectors, the nearest
-	// node within transmission range. This is purely local given the
-	// positions of in-range nodes (round 1 of the distributed protocol).
-	stopPhase1 := tel.StartPhase("topology.phase1")
-	_, spanP1 := telemetry.StartChild(ctx, "topology.phase1")
-	var idx withinIndex
-	if ar != nil {
-		// CompactGrid refills in place with the same bucket-major,
-		// ascending-index visit order as NewGrid (order never matters for the
-		// result — closer is a strict total order — but keeping it identical
-		// keeps the two paths trivially comparable).
-		ar.grid.Fill(pts, cfg.Range)
-		idx = &ar.grid
-	} else {
-		idx = spatial.NewGrid(pts, cfg.Range)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*n/workers, (w+1)*n/workers
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				sc := phase1Scanner{t: t}
-				sc.scan(ctx, lo, hi, idx)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		sc := phase1Scanner{t: t}
-		sc.scan(ctx, 0, n, idx)
-	}
-	if err := ctx.Err(); err != nil {
-		stopPhase1()
-		stopBuild()
-		spanP1.End()
-		spanBuild.End()
-		return nil, err
-	}
-
-	// Yao graph N₁: undirected closure of the phase-1 selections. The slab
-	// carve sizes rows at 2k: the final topology N never exceeds that
-	// (Lemma 2.1 bounds its degree by 4π/θ = 2k) and Yao rows rarely do
-	// (out-degree ≤ k; a high in-degree row spills to the heap, which is
-	// correct and merely allocates).
-	if ar != nil {
-		t.Yao = ar.yao.NewIn(n, 2*k)
-	} else {
-		t.Yao = graph.New(n)
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range t.NearestOut[u] {
-			if v >= 0 {
-				t.Yao.AddEdge(u, int(v))
-			}
-		}
-	}
-	stopPhase1()
-	spanP1.SetAttr("yao_edges", float64(t.Yao.NumEdges()))
-	spanP1.End()
-	stopPhase2 := tel.StartPhase("topology.phase2")
-	_, spanP2 := telemetry.StartChild(ctx, "topology.phase2")
-
-	// Phase 2: every node u admits, per sector, only the nearest node w
-	// that selected u (u ∈ N(w)). In the distributed protocol this is the
-	// neighborhood round (w tells u "I selected you") followed by the
-	// connection round (u answers its per-sector winners).
-	for w := 0; w < n; w++ {
-		if w%cancelStride == 0 && ctx.Err() != nil {
-			stopPhase2()
-			stopBuild()
-			spanP2.End()
-			spanBuild.End()
-			return nil, ctx.Err()
-		}
-		for _, v := range t.NearestOut[w] {
-			if v < 0 {
-				continue
-			}
-			// w selected v, so w is an in-neighbor candidate of v in
-			// sector S(v, w).
-			s := t.SectorOf(int(v), w)
-			cur := t.AdmitIn[v][s]
-			if cur < 0 || closer(pts, int(v), w, int(cur)) {
-				t.AdmitIn[v][s] = int32(w)
-			}
-		}
-	}
-
-	// Final topology: an edge for every admission, in either direction.
-	if ar != nil {
-		t.N = ar.fin.NewIn(n, 2*k)
-	} else {
-		t.N = graph.New(n)
-	}
-	for u := 0; u < n; u++ {
-		for _, w := range t.AdmitIn[u] {
-			if w >= 0 {
-				t.N.AddEdge(u, int(w))
-			}
-		}
-	}
-	stopPhase2()
-	spanP2.End()
-	stopBuild()
-	spanBuild.SetAttr("edges", float64(t.N.NumEdges()))
-	spanBuild.SetAttr("max_degree", float64(t.N.MaxDegree()))
-	spanBuild.End()
-	if tel.Enabled() {
-		tel.Counter("topology.builds").Inc()
-		tel.Gauge("topology.edges").Set(float64(t.N.NumEdges()))
-		tel.Gauge("topology.yao_edges").Set(float64(t.Yao.NumEdges()))
-		tel.Gauge("topology.max_degree").Set(float64(t.N.MaxDegree()))
-	}
-	if tel.Tracing() {
-		tel.Emit(telemetry.Event{Layer: "topology", Kind: "build", Fields: map[string]float64{
-			"n":          float64(n),
-			"edges":      float64(t.N.NumEdges()),
-			"yao_edges":  float64(t.Yao.NumEdges()),
-			"max_degree": float64(t.N.MaxDegree()),
-		}})
-	}
-	return t, nil
-}
 
 // checkDistinct enforces the paper's standing assumption of distinct node
 // positions (Section 2.1 assumes unique pairwise distances; our

@@ -131,7 +131,7 @@ func FuzzTileAssign(f *testing.F) {
 			return
 		}
 		cfg := Config{Theta: math.Pi / 6, Range: d}
-		got, err := BuildThetaTiled(context.Background(), pts, cfg, TiledConfig{Tiles: k, Workers: 2})
+		got, err := Build(context.Background(), pts, cfg, Plan{Tiles: k, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

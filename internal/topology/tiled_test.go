@@ -20,7 +20,7 @@ import (
 // tile — the hardest seam regime).
 var tileGrids = []int{1, 2, 4, 8}
 
-// checkTiledEquivalence asserts BuildThetaTiled ≡ BuildTheta on pts for
+// checkTiledEquivalence asserts a tiled Build ≡ BuildTheta on pts for
 // every tile grid, comparing the full construction state: both sector
 // tables, and the Yao and final graphs including adjacency-list order
 // (reflect.DeepEqual on the graphs sees the unexported adjacency).
@@ -28,7 +28,7 @@ func checkTiledEquivalence(t *testing.T, pts []geom.Point, cfg Config, workers i
 	t.Helper()
 	want := BuildTheta(append([]geom.Point(nil), pts...), cfg)
 	for _, k := range tileGrids {
-		got, err := BuildThetaTiled(context.Background(), pts, cfg, TiledConfig{Tiles: k, Workers: workers})
+		got, err := Build(context.Background(), pts, cfg, Plan{Tiles: k, Workers: workers})
 		if err != nil {
 			t.Fatalf("%s k=%d: %v", label, k, err)
 		}
@@ -162,7 +162,7 @@ func TestTiledDegenerate(t *testing.T) {
 	}
 }
 
-// TestTiledHeuristicAndWorkerInvariance checks the Tiles ≤ 0 heuristic
+// TestTiledHeuristicAndWorkerInvariance checks the AutoTiles heuristic
 // path and that every worker count (including oversubscription far beyond
 // the tile count) produces the identical topology.
 func TestTiledHeuristicAndWorkerInvariance(t *testing.T) {
@@ -170,12 +170,12 @@ func TestTiledHeuristicAndWorkerInvariance(t *testing.T) {
 	d := unitdisk.CriticalRange(pts) * 1.3
 	cfg := Config{Theta: math.Pi / 6, Range: d}
 	want := BuildTheta(append([]geom.Point(nil), pts...), cfg)
-	for _, tc := range []TiledConfig{
-		{Tiles: 0, Workers: 0},  // both heuristics
-		{Tiles: 3, Workers: 1},  // serial over a non-power-of-two grid
-		{Tiles: 5, Workers: 64}, // workers ≫ tiles
+	for _, tc := range []Plan{
+		{Tiles: AutoTiles, Workers: 0}, // both heuristics
+		{Tiles: 3, Workers: 1},         // serial over a non-power-of-two grid
+		{Tiles: 5, Workers: 64},        // workers ≫ tiles
 	} {
-		got, err := BuildThetaTiled(context.Background(), pts, cfg, tc)
+		got, err := Build(context.Background(), pts, cfg, tc)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -206,7 +206,7 @@ func TestTiledCancellation(t *testing.T) {
 	pts := pointset.Generate(pointset.KindUniform, 500, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	top, err := BuildThetaTiled(ctx, pts, Config{Theta: math.Pi / 6, Range: 0.1}, TiledConfig{Tiles: 4, Workers: 2})
+	top, err := Build(ctx, pts, Config{Theta: math.Pi / 6, Range: 0.1}, Plan{Tiles: 4, Workers: 2})
 	if top != nil || err != context.Canceled {
 		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", top, err)
 	}
@@ -223,7 +223,7 @@ func TestDynamicAfterTiled(t *testing.T) {
 		pts := pointset.Generate(pointset.KindUniform, 80+int(seed)*10, seed)
 		d := unitdisk.CriticalRange(pts) * 1.3
 		cfg := Config{Theta: math.Pi / 6, Range: d}
-		tiled, err := BuildThetaTiled(context.Background(), append([]geom.Point(nil), pts...), cfg, TiledConfig{Tiles: 4, Workers: 2})
+		tiled, err := Build(context.Background(), append([]geom.Point(nil), pts...), cfg, Plan{Tiles: 4, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestTiledLargeSmoke(t *testing.T) {
 	// fixed formula avoids the global CriticalRange computation at scale.
 	d := 1.6 * math.Sqrt(math.Log(float64(n))/(math.Pi*float64(n)))
 	cfg := Config{Theta: math.Pi / 6, Range: d}
-	tiled, err := BuildThetaTiled(context.Background(), pts, cfg, TiledConfig{Workers: 4})
+	tiled, err := Build(context.Background(), pts, cfg, Plan{Tiles: AutoTiles, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

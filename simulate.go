@@ -71,10 +71,10 @@ type SimulationOptions struct {
 	// Mutually exclusive with ChurnEvery; requires MACGiven or MACRandom.
 	DistFaults *FaultPlan
 	// Workers > 0 caps the worker pool of full topology rebuilds
-	// (BuildNetworkParallel semantics); 0 keeps the sequential builder.
+	// (Plan.Workers); 0 keeps an untiled build sequential.
 	Workers int
-	// Tiles > 0 routes full topology rebuilds through the tile-sharded
-	// builder (BuildNetworkTiled semantics) with a Tiles×Tiles grid; the
+	// Tiles > 0 makes full topology rebuilds tile-sharded over a
+	// Tiles×Tiles grid (Plan.Tiles); the
 	// built topology is identical, only peak memory and wall-clock change.
 	// Ignored under ChurnEvery and DistFaults, which build incrementally
 	// or via the protocol engine.

@@ -120,91 +120,42 @@ func (nw *Network) transmissionGraph() *graph.Graph {
 // invalid options or fewer than two points; it does not require G* to be
 // connected, but stretch evaluation reports disconnected pairs.
 func BuildNetwork(points []Point, opts Options) (*Network, error) {
-	if len(points) < 2 {
-		return nil, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(points)
-	if err != nil {
-		return nil, err
-	}
-	top := topology.BuildTheta(points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry})
-	return &Network{
-		opts: o,
-		top:  top,
-	}, nil
+	return BuildNetworkContext(context.Background(), points, opts, Plan{})
 }
 
-// BuildNetworkParallel is BuildNetwork with the per-node phase-1 sector
-// selection fanned out over a worker pool (workers ≤ 0 selects
-// GOMAXPROCS). The resulting topology is identical to BuildNetwork's for
-// every worker count; only wall-clock time changes.
-func BuildNetworkParallel(points []Point, opts Options, workers int) (*Network, error) {
-	if len(points) < 2 {
-		return nil, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(points)
-	if err != nil {
-		return nil, err
-	}
-	top := topology.BuildThetaParallel(points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry}, workers)
-	return &Network{
-		opts:    o,
-		top:     top,
-		workers: workers,
-	}, nil
-}
+// Plan says how a build schedules ΘALG's rows and where their storage
+// comes from: Workers (≤ 0: sequential for a row build, GOMAXPROCS for a
+// tiled one), Tiles (0: row build; k > 0: k×k tile-sharded build with 2D
+// halos, for million-node inputs; AutoTiles: tile count from a density
+// heuristic) and an optional reusable Arena. The topology is identical for
+// every plan; only wall-clock time and peak memory change.
+type Plan = topology.Plan
 
-// BuildNetworkContext is BuildNetwork under a cancellation context:
-// the ΘALG build checks ctx between row batches of each phase, so a caller
-// whose request was cancelled (client disconnect, deadline, server drain)
-// stops the build promptly and receives ctx.Err(). workers > 0 additionally
-// fans phase 1 out over that many workers (BuildNetworkParallel semantics);
-// ≤ 0 keeps the sequential builder. The topology is identical to
-// BuildNetwork's for every worker count.
-func BuildNetworkContext(ctx context.Context, points []Point, opts Options, workers int) (*Network, error) {
-	if len(points) < 2 {
-		return nil, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(points)
-	if err != nil {
-		return nil, err
-	}
-	top, err := topology.BuildThetaContext(ctx, points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry}, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Network{
-		opts:    o,
-		top:     top,
-		workers: workers,
-	}, nil
-}
+// AutoTiles is the Plan.Tiles value selecting a tiled build whose tile
+// count is derived from the node count and the transmission range.
+const AutoTiles = topology.AutoTiles
 
-// BuildArena is reusable backing storage for BuildNetworkArenaContext: the
-// spatial index, sector tables, adjacency slabs, and validation scratch of
-// a ΘALG build, recycled across builds. Serving layers pool arenas to make
-// the per-request build path effectively allocation-free. An arena is not
-// safe for concurrent builds; the zero value (via NewBuildArena) is ready
-// to use.
-type BuildArena struct {
-	a topology.BuildArena
-}
+// BuildArena is reusable backing storage for Plan.Arena: the spatial
+// index, sector tables, adjacency slabs, and validation scratch of a ΘALG
+// build, recycled across builds. Serving layers pool arenas to make the
+// per-request build path effectively allocation-free. A network built into
+// an arena aliases its memory: it is valid only until the next build with
+// that arena, and must not be retained past that point (the lazily built
+// transmission graph G* is heap-allocated and exempt, but the topology and
+// its graphs are not). An arena is not safe for concurrent builds; the
+// zero value is ready to use, and Footprint reports its retained size.
+type BuildArena = topology.BuildArena
 
 // NewBuildArena returns an empty arena.
 func NewBuildArena() *BuildArena { return new(BuildArena) }
 
-// Footprint approximates the arena's retained backing size in bytes, so
-// pools can drop arenas that grew serving an outsized request.
-func (ar *BuildArena) Footprint() int { return ar.a.Footprint() }
-
-// BuildNetworkArenaContext is BuildNetworkContext building into ar's
-// reusable storage. The resulting network is bit-identical to
-// BuildNetworkContext's; only allocation behavior differs. The returned
-// Network aliases the arena's memory: it is valid only until the next build
-// with ar, and must not be retained past that point (the lazily built
-// transmission graph G* is heap-allocated and exempt, but the topology
-// and its graphs are not).
-func BuildNetworkArenaContext(ctx context.Context, points []Point, opts Options, workers int, ar *BuildArena) (*Network, error) {
+// BuildNetworkContext is BuildNetwork under a cancellation context and a
+// build plan: the ΘALG build checks ctx between row batches, so a caller
+// whose request was cancelled (client disconnect, deadline, server drain)
+// stops the build promptly and receives ctx.Err(). The topology is
+// identical to BuildNetwork's for every plan. Interference-set
+// computations on the network inherit plan.Workers.
+func BuildNetworkContext(ctx context.Context, points []Point, opts Options, plan Plan) (*Network, error) {
 	if len(points) < 2 {
 		return nil, errors.New("toporouting: need at least two points")
 	}
@@ -212,50 +163,14 @@ func BuildNetworkArenaContext(ctx context.Context, points []Point, opts Options,
 	if err != nil {
 		return nil, err
 	}
-	top, err := topology.BuildThetaArena(ctx, points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry}, workers, &ar.a)
+	top, err := topology.Build(ctx, points, topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry}, plan)
 	if err != nil {
 		return nil, err
 	}
 	return &Network{
 		opts:    o,
 		top:     top,
-		workers: workers,
-	}, nil
-}
-
-// BuildNetworkTiled is BuildNetwork with the tile-sharded builder: the
-// point set's bounding box is cut into tiles×tiles tiles, each built
-// independently over a halo of boundary nodes (the 2D locality radius of
-// the paper's Section 2) by a pool of workers, then stitched. The topology
-// is bit-identical to BuildNetwork's for every tile grid and worker count;
-// what changes is peak memory — per-worker cache-sized working sets
-// instead of one shared arena — which is what admits million-node builds.
-// tiles ≤ 0 selects a density heuristic, workers ≤ 0 selects GOMAXPROCS.
-func BuildNetworkTiled(points []Point, opts Options, tiles, workers int) (*Network, error) {
-	return BuildNetworkTiledContext(context.Background(), points, opts, tiles, workers)
-}
-
-// BuildNetworkTiledContext is BuildNetworkTiled under a cancellation
-// context: tile workers check ctx between row batches, so a caller whose
-// request was cancelled stops the build promptly and receives ctx.Err().
-func BuildNetworkTiledContext(ctx context.Context, points []Point, opts Options, tiles, workers int) (*Network, error) {
-	if len(points) < 2 {
-		return nil, errors.New("toporouting: need at least two points")
-	}
-	o, err := opts.withDefaults(points)
-	if err != nil {
-		return nil, err
-	}
-	top, err := topology.BuildThetaTiled(ctx, points,
-		topology.Config{Theta: o.Theta, Range: o.Range, Telemetry: o.Telemetry},
-		topology.TiledConfig{Tiles: tiles, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return &Network{
-		opts:    o,
-		top:     top,
-		workers: workers,
+		workers: plan.Workers,
 	}, nil
 }
 
@@ -535,9 +450,9 @@ func headSources(n, max int) []int {
 
 // InterferenceNumber computes the interference number I of N under the
 // network's guard zone Δ (Lemma 2.10: O(log n) whp for uniform random
-// nodes). Networks built with BuildNetworkParallel reuse the same worker
-// cap for the interference-set fan-out; the result is identical either
-// way.
+// nodes). Networks built with a Plan of several workers reuse the same
+// worker cap for the interference-set fan-out; the result is identical
+// either way.
 func (nw *Network) InterferenceNumber() int {
 	m := interference.NewModel(nw.opts.Delta)
 	m.Workers = nw.workers
